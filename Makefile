@@ -19,11 +19,12 @@ lint:
 	$(GO) run ./cmd/sbgt-lint -audit ./...
 	$(GO) run ./cmd/sbgt-lint -baseline-check ./...
 
-# Race-detector pass over the packages that own goroutines, plus the
-# backend conformance suite (which drives the cluster backend end to end
-# over loopback TCP). Short mode keeps the statistical loops out.
+# Race-detector pass over the packages that own goroutines, the shared
+# shard kernels and the lattice that runs them on the engine pool, plus
+# the backend conformance suite (which drives the cluster backend end to
+# end over loopback TCP). Short mode keeps the statistical loops out.
 race:
-	$(GO) test -race -short ./internal/engine ./internal/cluster ./internal/bench ./internal/posterior ./internal/core ./internal/obs ./internal/obs/profiler
+	$(GO) test -race -short ./internal/engine ./internal/kernel ./internal/lattice ./internal/cluster ./internal/bench ./internal/posterior ./internal/core ./internal/obs ./internal/obs/profiler
 
 # Short fuzz smoke over the numeric-kernel and lint-input invariants.
 fuzz:

@@ -10,7 +10,7 @@
 //	F3 -> BenchmarkSurveillanceSession
 //	F6 -> BenchmarkClusterUpdate
 //	A1 -> BenchmarkPartitionGrain{1,16}
-//	A2 -> BenchmarkFusion{Fused,TwoPass}
+//	A2 -> BenchmarkFusionFused (the two-pass arm is `sbgt-bench -exp A2`)
 package sbgt_test
 
 import (
@@ -262,14 +262,5 @@ func BenchmarkFusionFused(b *testing.B) {
 		if err := m.Update(pm, outcomes[i%2]); err != nil {
 			b.Fatal(err)
 		}
-	}
-}
-
-func BenchmarkFusionTwoPass(b *testing.B) {
-	m := benchModel(b, 0, 0, flatResp)
-	pm := bitvec.Full(benchN)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		m.UpdateTwoPass(pm, outcomes[i%2])
 	}
 }

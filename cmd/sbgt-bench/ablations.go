@@ -3,12 +3,15 @@ package main
 import (
 	"fmt"
 	"math"
+	"math/bits"
 
 	"repro/internal/bench"
 	"repro/internal/bitvec"
 	"repro/internal/dilution"
 	"repro/internal/halving"
+	"repro/internal/kernel"
 	"repro/internal/lattice"
+	"repro/internal/prob"
 	"repro/internal/workload"
 )
 
@@ -52,7 +55,8 @@ func runA1(c *ctx) error {
 }
 
 // runA2 compares the fused update (multiply+sum one pass, scale pass) with
-// the unfused two-pass variant (multiply pass, then sum+scale).
+// the unfused two-pass variant (multiply pass, then sum+scale), which
+// runs on a clone so the two arms do not share a posterior.
 func runA2(c *ctx) error {
 	pool := c.newPool(c.workers)
 	defer pool.Close()
@@ -73,14 +77,34 @@ func runA2(c *ctx) error {
 			}
 			i++
 		})
+		two := m.Clone()
 		j := 0
 		tTwo := bench.Measure(c.reps(), 1, func() {
-			m.UpdateTwoPass(pm, outcomes[j%2])
+			updateTwoPass(two, pm, outcomes[j%2])
 			j++
 		})
 		tab.AddRow(n, tTwo.Mean, tFused.Mean, bench.Speedup(tTwo.Mean, tFused.Mean))
 	}
 	return c.emit(tab)
+}
+
+// updateTwoPass is A2's unfused reference arm: a multiply-only pass over
+// the partitions, then the engine's separate sum and scale passes.
+func updateTwoPass(m *lattice.Model, pool bitvec.Mask, y dilution.Outcome) {
+	size := pool.Count()
+	lik := make([]float64, size+1)
+	for k := range lik {
+		lik[k] = m.Response().Likelihood(y, k, size)
+	}
+	post := m.Posterior()
+	post.ForPartitions(func(_ int, offset uint64, data []float64) {
+		for j := range data {
+			data[j] *= lik[bits.OnesCount64((offset+uint64(j))&uint64(pool))]
+		}
+	})
+	if total := post.Normalize(); !(total > 0) {
+		panic(fmt.Sprintf("A2: zero-likelihood outcome (total %v)", total))
+	}
 }
 
 // runA3 compares halving candidate sets: prefix-only vs prefix plus
@@ -150,14 +174,15 @@ func candidatePools(n, k int) []bitvec.Mask {
 	return out
 }
 
-// runA5 ablates the structure-aware kernels: each row pits the retained
-// reference implementation against the shipped kernel on the same
-// posterior. NegMass compares the dense filtered scan with the masked
-// sub-lattice walk (the crossover tunable is forced to each side);
-// Marginals compares the per-state bit walk with the radix-decomposed
-// blocks; NegMasses compares the candidate-outer full rescan with the
-// cache-tiled scan; Summary compares the four separate full-lattice
-// passes a session round used to make with the fused digest.
+// runA5 ablates the structure-aware kernels: each row pits a reference
+// form, built from internal/kernel functions over the model's partitions,
+// against the shipped kernel on the same posterior. NegMass compares the
+// dense filtered scan (kernel.SumWhere) with the masked sub-lattice walk;
+// Marginals compares the per-state bit walk (kernel.MarginalsWalk) with
+// the radix-decomposed blocks; NegMasses compares a candidate-outer full
+// rescan (kernel.NegMasses one candidate at a time) with the cache-tiled
+// scan of all candidates; Summary compares the four separate
+// full-lattice passes a session round used to make with the fused digest.
 func runA5(c *ctx) error {
 	pool := c.newPool(c.workers)
 	defer pool.Close()
@@ -176,20 +201,36 @@ func runA5(c *ctx) error {
 		if err := m.Update(updatePool(n), dilution.Positive); err != nil {
 			return err
 		}
+		post := m.Posterior()
 		for _, g := range []int{2, 4, 8} {
-			pm := spreadPool(n, g)
-			prev := lattice.SetSubLatticeMinPool(n + 1) // force the dense path
-			tOld := bench.Measure(c.reps(), 1, func() { m.NegMass(pm) })
-			lattice.SetSubLatticeMinPool(1) // force the sub-lattice path
-			tNew := bench.Measure(c.reps(), 1, func() { m.NegMass(pm) })
-			lattice.SetSubLatticeMinPool(prev)
+			pm := uint64(spreadPool(n, g))
+			tOld := bench.Measure(c.reps(), 1, func() {
+				post.ReduceSum(func(_ int, offset uint64, data []float64) prob.Accumulator {
+					return kernel.SumWhere(offset, data, pm)
+				})
+			})
+			tNew := bench.Measure(c.reps(), 1, func() { m.NegMass(bitvec.Mask(pm)) })
 			tab.AddRow("NegMass", n, g, tOld.Mean, tNew.Mean, bench.Speedup(tOld.Mean, tNew.Mean))
 		}
-		tOld := bench.Measure(c.reps(), 1, func() { m.MarginalsWalk() })
+		tOld := bench.Measure(c.reps(), 1, func() {
+			post.ReduceVec(n, func(_ int, offset uint64, data []float64, out []float64) {
+				kernel.MarginalsWalk(offset, data, out)
+			})
+		})
 		tNew := bench.Measure(c.reps(), 1, func() { m.Marginals() })
 		tab.AddRow("Marginals", n, "-", tOld.Mean, tNew.Mean, bench.Speedup(tOld.Mean, tNew.Mean))
 		cands := candidatePools(n, 32)
-		tOld = bench.Measure(c.reps(), 1, func() { m.NegMassesUntiled(cands) })
+		masks := make([]uint64, len(cands))
+		for i, cand := range cands {
+			masks[i] = uint64(cand)
+		}
+		tOld = bench.Measure(c.reps(), 1, func() {
+			post.ReduceVec(len(masks), func(_ int, offset uint64, data []float64, out []float64) {
+				for i := range masks {
+					kernel.NegMasses(offset, data, masks[i:i+1], out[i:i+1])
+				}
+			})
+		})
 		tNew = bench.Measure(c.reps(), 1, func() { m.NegMasses(cands) })
 		tab.AddRow("NegMasses", n, len(cands), tOld.Mean, tNew.Mean, bench.Speedup(tOld.Mean, tNew.Mean))
 		tOld = bench.Measure(c.reps(), 1, func() {

@@ -13,6 +13,7 @@ import (
 // import-path suffix so the rules also apply under test loaders.
 var numericPackages = []string{
 	"internal/prob",
+	"internal/kernel",
 	"internal/lattice",
 	"internal/halving",
 	"internal/dilution",

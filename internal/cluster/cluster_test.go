@@ -252,6 +252,19 @@ func TestDispatchValidation(t *testing.T) {
 	if resp := e.dispatch(Request{Op: OpUpdateMul, Pool: 0b11, Lik: []float64{1}}); resp.Err == "" {
 		t.Error("short likelihood table accepted")
 	}
+	if resp := e.dispatch(Request{Op: OpUpdateMul, Pool: 0b11, Lik: []float64{1, math.NaN(), 0.5}}); resp.Err == "" {
+		t.Error("NaN likelihood accepted")
+	}
+	if resp := e.dispatch(Request{Op: OpUpdateMul, Pool: 0b11, Lik: []float64{1, -0.5, 0.5}}); resp.Err == "" {
+		t.Error("negative likelihood accepted")
+	}
+	if resp := e.dispatch(Request{Op: OpUpdateMul, Pool: 1 << 4, Lik: []float64{1, 0.5}}); resp.Err == "" {
+		t.Error("pool outside the 4-subject cohort accepted")
+	}
+	// The rejected updates must leave the shard untouched.
+	if mass := e.dispatch(Request{Op: OpMass}); mass.Err != "" || mass.Sum != ok.Sum {
+		t.Errorf("shard mass %v (err %q) after rejected updates, want %v", mass.Sum, mass.Err, ok.Sum)
+	}
 	if resp := e.dispatch(Request{Op: OpScale, Factor: math.NaN()}); resp.Err == "" {
 		t.Error("NaN scale accepted")
 	}

@@ -11,6 +11,7 @@ import (
 
 	"repro/internal/bitvec"
 	"repro/internal/dilution"
+	"repro/internal/kernel"
 	"repro/internal/obs"
 	"repro/internal/prob"
 )
@@ -493,31 +494,18 @@ func (m *Model) Entropy() (float64, error) {
 	return nats / math.Ln2, nil
 }
 
-// Summary is the driver-side merged fused digest; fields mirror
-// posterior.Summary.
-type Summary struct {
-	Marginals        []float64
-	EntropyBits      float64
-	MAPState         bitvec.Mask
-	MAPMass          float64
-	ExpectedInfected float64
-	Mass             float64
-}
-
 // Summary gathers every statistic a session round reads in ONE
 // distributed round trip — marginals, entropy, MAP, expected-infected,
 // and total mass — where the separate kernels would pay four. Executor
-// partials merge in rank order with compensated accumulators; the argmax
-// takes the lowest state on ties (shards are rank-ordered by state range,
-// so first-wins is the lowest state).
-func (m *Model) Summary() (*Summary, error) {
+// partials merge in rank order with kernel.Merge; the argmax takes the
+// lowest state on ties (shards are rank-ordered by state range, so
+// first-wins is the lowest state).
+func (m *Model) Summary() (*kernel.Summary, error) {
 	resps, err := m.fanout(func(*conn) Request { return Request{Op: OpSummary} })
 	if err != nil {
 		return nil, err
 	}
-	out := &Summary{Marginals: make([]float64, m.n), MAPMass: math.Inf(-1)}
-	margAccs := make([]prob.Accumulator, m.n)
-	var ent, exp, mass prob.Accumulator
+	parts := make([]kernel.Partial, len(resps))
 	for i, r := range resps {
 		ws := r.Summary
 		if ws == nil {
@@ -526,23 +514,15 @@ func (m *Model) Summary() (*Summary, error) {
 		if len(ws.Marginals) != m.n {
 			return nil, fmt.Errorf("cluster: summary marginals have %d entries, want %d", len(ws.Marginals), m.n)
 		}
-		for j, x := range ws.Marginals {
-			margAccs[j].Add(x)
-		}
-		ent.Add(ws.Entropy)
-		exp.Add(ws.Expected)
-		mass.Add(ws.Mass)
-		if ws.MAPOK && (ws.MAPMass > out.MAPMass || (ws.MAPMass == out.MAPMass && ws.MAPState < uint64(out.MAPState))) { //lint:allow floats exact equality is the deterministic argmax tie-break
-			out.MAPState, out.MAPMass = bitvec.Mask(ws.MAPState), ws.MAPMass
-		}
+		// The wire carries each accumulator's value; seeding an empty
+		// accumulator with it makes the merge add exactly that value.
+		pt := kernel.Partial{Marginals: ws.Marginals, MAPState: ws.MAPState, MAPMass: ws.MAPMass, MAPOK: ws.MAPOK}
+		pt.Entropy.Add(ws.Entropy)
+		pt.Expected.Add(ws.Expected)
+		pt.Mass.Add(ws.Mass)
+		parts[i] = pt
 	}
-	for j := range margAccs {
-		out.Marginals[j] = margAccs[j].Value()
-	}
-	out.EntropyBits = ent.Value() / math.Ln2
-	out.ExpectedInfected = exp.Value()
-	out.Mass = mass.Value()
-	return out, nil
+	return kernel.Merge(m.n, parts), nil
 }
 
 // IntersectDist returns the posterior distribution of |S ∩ pool|.

@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"repro/internal/engine"
+	"repro/internal/kernel"
 	"repro/internal/obs"
 	"repro/internal/prob"
 )
@@ -215,19 +216,6 @@ func (e *Executor) dispatch(req Request) Response {
 	}
 }
 
-// Kernel blocking parameters, mirroring the in-process lattice layer (the
-// executor re-implements the shard-local kernels rather than importing
-// lattice, keeping the dependency arrow one-way).
-const (
-	// radixBits decomposes a state into a low byte walked per state and
-	// high bits accounted once per aligned 256-state block.
-	radixBits  = 8
-	radixBlock = 1 << radixBits
-	// negMassesTile is the shard tile (in states) kept cache-resident
-	// across all candidates during a candidate scan: 4096 × 8 B = 32 KiB.
-	negMassesTile = 1 << 12
-)
-
 // forRange runs body over local index chunks of the shard in parallel.
 func (e *Executor) forRange(body func(lo, hi int)) {
 	e.pool.For(len(e.data), 0, body)
@@ -235,8 +223,9 @@ func (e *Executor) forRange(body func(lo, hi int)) {
 
 // reduceChunks evaluates a compensated partial sum per fixed-size chunk
 // and merges the chunk partials in order, mirroring engine.Vector's
-// deterministic reduction shape.
-func (e *Executor) reduceChunks(body func(lo, hi int) prob.Accumulator) float64 {
+// deterministic reduction shape. body receives the chunk's global offset
+// and data, the shape every scalar kernel takes.
+func (e *Executor) reduceChunks(body func(offset uint64, data []float64) prob.Accumulator) float64 {
 	const chunk = 1 << 14
 	n := len(e.data)
 	parts := (n + chunk - 1) / chunk
@@ -244,11 +233,8 @@ func (e *Executor) reduceChunks(body func(lo, hi int) prob.Accumulator) float64 
 	e.pool.For(parts, 1, func(plo, phi int) {
 		for p := plo; p < phi; p++ {
 			lo := p * chunk
-			hi := lo + chunk
-			if hi > n {
-				hi = n
-			}
-			partials[p] = body(lo, hi)
+			hi := min(lo+chunk, n)
+			partials[p] = body(e.lo+uint64(lo), e.data[lo:hi])
 		}
 	})
 	var total prob.Accumulator
@@ -257,6 +243,9 @@ func (e *Executor) reduceChunks(body func(lo, hi int) prob.Accumulator) float64 
 	}
 	return total.Value()
 }
+
+// shardMass is the reduceChunks body of OpMass (and the prior build).
+func shardMass(_ uint64, data []float64) prob.Accumulator { return kernel.Mass(data) }
 
 func (e *Executor) buildPrior(req Request) Response {
 	n := len(req.Risks)
@@ -267,37 +256,18 @@ func (e *Executor) buildPrior(req Request) Response {
 	if req.Lo >= req.Hi || req.Hi > total {
 		return errorf(req.Op, "invalid shard range [%d,%d) of %d", req.Lo, req.Hi, total)
 	}
-	odds := make([]float64, n)
-	logBase := 0.0
-	for i, p := range req.Risks {
-		if !(p > 0 && p < 1) {
-			return errorf(req.Op, "risk[%d] = %v outside (0,1)", i, p)
-		}
-		odds[i] = p / (1 - p)
-		logBase += math.Log1p(-p)
+	odds, base, err := kernel.PriorOdds(req.Risks)
+	if err != nil {
+		return errorf(req.Op, "%v", err)
 	}
-	base := math.Exp(logBase)
 	e.n = n
 	e.lo = req.Lo
 	e.data = make([]float64, req.Hi-req.Lo)
 	e.noteShard()
 	e.forRange(func(lo, hi int) {
-		for j := lo; j < hi; j++ {
-			s := e.lo + uint64(j)
-			w := base
-			for v := s; v != 0; v &= v - 1 {
-				w *= odds[bits.TrailingZeros64(v)]
-			}
-			e.data[j] = w
-		}
+		kernel.Prior(e.lo+uint64(lo), e.data[lo:hi], odds, base)
 	})
-	return Response{Op: req.Op, Sum: e.reduceChunks(func(lo, hi int) prob.Accumulator {
-		var acc prob.Accumulator
-		for _, w := range e.data[lo:hi] {
-			acc.Add(w)
-		}
-		return acc
-	})}
+	return Response{Op: req.Op, Sum: e.reduceChunks(shardMass)}
 }
 
 // loadShard installs a driver-supplied shard verbatim: the scatter half of
@@ -331,22 +301,25 @@ func (e *Executor) loadShard(req Request) Response {
 	return Response{Op: req.Op}
 }
 
+// updateMul rejects what lattice.Update and the driver reject — a pool
+// reaching outside the cohort, a likelihood table of the wrong length or
+// with a negative or NaN entry — so a bad request fails instead of
+// poisoning the shard.
 func (e *Executor) updateMul(req Request) Response {
-	want := bits.OnesCount64(req.Pool) + 1
-	if len(req.Lik) != want {
+	if req.Pool>>uint(e.n) != 0 {
+		return errorf(req.Op, "pool %#x outside cohort of %d", req.Pool, e.n)
+	}
+	if want := bits.OnesCount64(req.Pool) + 1; len(req.Lik) != want {
 		return errorf(req.Op, "likelihood table has %d entries, want %d", len(req.Lik), want)
 	}
-	sum := e.reduceChunks(func(lo, hi int) prob.Accumulator {
-		var acc prob.Accumulator
-		for j := lo; j < hi; j++ {
-			s := e.lo + uint64(j)
-			w := e.data[j] * req.Lik[bits.OnesCount64(s&req.Pool)]
-			e.data[j] = w
-			acc.Add(w)
+	for k, l := range req.Lik {
+		if l < 0 || math.IsNaN(l) {
+			return errorf(req.Op, "invalid likelihood %v at k=%d", l, k)
 		}
-		return acc
-	})
-	return Response{Op: req.Op, Sum: sum}
+	}
+	return Response{Op: req.Op, Sum: e.reduceChunks(func(offset uint64, data []float64) prob.Accumulator {
+		return kernel.UpdateMul(offset, data, req.Pool, req.Lik)
+	})}
 }
 
 func (e *Executor) scale(req Request) Response {
@@ -354,258 +327,79 @@ func (e *Executor) scale(req Request) Response {
 		return errorf(req.Op, "invalid factor %v", req.Factor)
 	}
 	e.forRange(func(lo, hi int) {
-		for j := lo; j < hi; j++ {
-			e.data[j] *= req.Factor
-		}
+		kernel.Scale(e.data[lo:hi], req.Factor)
 	})
 	return Response{Op: req.Op}
 }
 
 func (e *Executor) sumWhere(req Request) Response {
-	sum := e.reduceChunks(func(lo, hi int) prob.Accumulator {
-		var acc prob.Accumulator
-		for j := lo; j < hi; j++ {
-			if (e.lo+uint64(j))&req.Pool == 0 {
-				acc.Add(e.data[j])
-			}
-		}
-		return acc
-	})
-	return Response{Op: req.Op, Sum: sum}
+	return Response{Op: req.Op, Sum: e.reduceChunks(func(offset uint64, data []float64) prob.Accumulator {
+		return kernel.SumWhere(offset, data, req.Pool)
+	})}
 }
 
-func (e *Executor) marginals(Request) Response {
+// marginals runs the radix marginal kernel single-threaded over the whole
+// shard: it stays allocation-free, and shards are the unit of parallelism
+// for vector-valued reductions on the wire.
+func (e *Executor) marginals(req Request) Response {
 	out := make([]float64, e.n)
-	// Single-threaded accumulation per executor keeps this allocation-free
-	// and is still distributed across executors; shards are the unit of
-	// parallelism for vector-valued reductions on the wire. The radix
-	// decomposition (see lattice.Marginals) walks only each state's low
-	// byte and books the shared high bits once per aligned block.
-	addMarginalsRadix(e.lo, e.data, out)
-	return Response{Op: OpMarginals, Vec: out}
+	kernel.Marginals(e.lo, e.data, out)
+	return Response{Op: req.Op, Vec: out}
 }
 
-// addMarginalsWalk accumulates marginal mass with the plain per-state bit
-// walk; the ragged-edge path of the radix kernel.
-func addMarginalsWalk(offset uint64, data []float64, out []float64) {
-	for j := range data {
-		w := data[j]
-		if w == 0 { //lint:allow floats exact-zero sparsity skip; near-zero mass must still count
-			continue
-		}
-		for v := offset + uint64(j); v != 0; v &= v - 1 {
-			out[bits.TrailingZeros64(v)] += w
-		}
-	}
-}
-
-// addMarginalsRadix accumulates marginal mass block-wise: within an
-// aligned radixBlock run of states only the low radixBits differ, so each
-// state walks at most 8 bits and the block's total mass is added to the
-// shared high bits once.
-func addMarginalsRadix(offset uint64, data []float64, out []float64) {
-	lo := offset
-	hi := offset + uint64(len(data))
-	head := (lo + radixBlock - 1) &^ uint64(radixBlock-1)
-	tail := hi &^ uint64(radixBlock-1)
-	if head >= tail {
-		addMarginalsWalk(lo, data, out)
-		return
-	}
-	addMarginalsWalk(lo, data[:head-lo], out)
-	for b := head; b < tail; b += radixBlock {
-		blk := data[b-lo : b-lo+radixBlock]
-		var blockSum float64
-		for j := range blk {
-			w := blk[j]
-			if w == 0 { //lint:allow floats exact-zero sparsity skip; near-zero mass must still count
-				continue
-			}
-			blockSum += w
-			for v := uint64(j); v != 0; v &= v - 1 {
-				out[bits.TrailingZeros64(v)] += w
-			}
-		}
-		if blockSum == 0 { //lint:allow floats exact-zero sparsity skip; near-zero mass must still count
-			continue
-		}
-		for v := b >> radixBits; v != 0; v &= v - 1 {
-			out[radixBits+bits.TrailingZeros64(v)] += blockSum
-		}
-	}
-	addMarginalsWalk(tail, data[tail-lo:], out)
-}
-
+// negMasses splits the candidate list across workers; each worker runs
+// the tiled scan over the whole shard for its slice, so every out[c] has
+// a single writer and the result does not depend on the split.
 func (e *Executor) negMasses(req Request) Response {
 	if len(req.Cands) == 0 {
 		return errorf(req.Op, "no candidates")
 	}
 	out := make([]float64, len(req.Cands))
-	// Tile-outer, candidate-inner loop (see lattice.NegMasses): each
-	// 32 KiB shard tile stays cache-resident while every candidate in the
-	// worker's chunk scores it, instead of re-streaming the whole shard
-	// once per candidate. Workers split the candidate list; each out[c]
-	// has a single writer accumulating in fixed tile order, so the result
-	// is deterministic.
 	e.pool.For(len(req.Cands), 1, func(clo, chi int) {
-		for t0 := 0; t0 < len(e.data); t0 += negMassesTile {
-			t1 := t0 + negMassesTile
-			if t1 > len(e.data) {
-				t1 = len(e.data)
-			}
-			blk := e.data[t0:t1]
-			toff := e.lo + uint64(t0)
-			for c := clo; c < chi; c++ {
-				pm := req.Cands[c]
-				var acc float64
-				for j := range blk {
-					if (toff+uint64(j))&pm == 0 {
-						acc += blk[j]
-					}
-				}
-				out[c] += acc
-			}
-		}
+		kernel.NegMasses(e.lo, e.data, req.Cands[clo:chi], out[clo:chi])
 	})
 	return Response{Op: req.Op, Vec: out}
 }
 
 func (e *Executor) entropy(req Request) Response {
-	sum := e.reduceChunks(func(lo, hi int) prob.Accumulator {
-		var acc prob.Accumulator
-		for _, p := range e.data[lo:hi] {
-			if p > 0 {
-				acc.Add(-p * math.Log(p))
-			}
-		}
-		return acc
-	})
-	return Response{Op: req.Op, Sum: sum}
+	return Response{Op: req.Op, Sum: e.reduceChunks(func(_ uint64, data []float64) prob.Accumulator {
+		return kernel.Entropy(data)
+	})}
 }
 
 func (e *Executor) intersect(req Request) Response {
 	out := make([]float64, bits.OnesCount64(req.Pool)+1)
-	for j, w := range e.data {
-		if w == 0 { //lint:allow floats exact-zero sparsity skip; near-zero mass must still count
-			continue
-		}
-		out[bits.OnesCount64((e.lo+uint64(j))&req.Pool)] += w
-	}
-	return Response{Op: OpIntersect, Vec: out}
-}
-
-// prefixScan returns the shard's min-rank histogram for the halving
-// prefix candidates: slot r accumulates the mass of states whose
-// lowest-ranked infected subject (per req.Order) has rank r, slot
-// len(Order) the mass of states disjoint from the whole ordering. The
-// driver merges histograms and suffix-sums them into prefix clean masses.
-func (e *Executor) prefixScan(req Request) Response {
-	k := len(req.Order)
-	if k == 0 || k > e.n {
-		return errorf(req.Op, "order has %d subjects for cohort of %d", k, e.n)
-	}
-	var rank [64]uint8
-	for i := range rank {
-		rank[i] = uint8(k)
-	}
-	for r, subj := range req.Order {
-		if subj < 0 || subj >= e.n {
-			return errorf(req.Op, "order subject %d outside cohort of %d", subj, e.n)
-		}
-		if rank[subj] != uint8(k) {
-			return errorf(req.Op, "duplicate subject %d in order", subj)
-		}
-		rank[subj] = uint8(r)
-	}
-	out := make([]float64, k+1)
-	for j, w := range e.data {
-		if w == 0 { //lint:allow floats exact-zero sparsity skip; near-zero mass must still count
-			continue
-		}
-		rmin := uint8(k)
-		for v := e.lo + uint64(j); v != 0; v &= v - 1 {
-			if r := rank[bits.TrailingZeros64(v)]; r < rmin {
-				rmin = r
-				if rmin == 0 {
-					break // rank 0 is the floor; the rest of the walk can't lower it
-				}
-			}
-		}
-		out[rmin] += w
-	}
+	kernel.IntersectDist(e.lo, e.data, req.Pool, out)
 	return Response{Op: req.Op, Vec: out}
 }
 
-// summary computes the shard's fused digest in one pass: marginal
-// partials via the radix decomposition, with the scalar statistics and
-// the shard-local argmax folded into the same sweep. Entropy ships in
-// nats; the driver merges executor partials in rank order and converts
-// to bits once.
+// prefixScan returns the shard's min-rank histogram for the halving
+// prefix candidates (kernel.PrefixHist). The driver merges histograms and
+// suffix-sums them into prefix clean masses.
+func (e *Executor) prefixScan(req Request) Response {
+	rank, err := kernel.NewRanks(req.Order, e.n)
+	if err != nil {
+		return errorf(req.Op, "%v", err)
+	}
+	out := make([]float64, len(req.Order)+1)
+	kernel.PrefixHist(e.lo, e.data, rank, out)
+	return Response{Op: req.Op, Vec: out}
+}
+
+// summary computes the shard's fused partial digest in one pass. Entropy
+// ships in nats; the driver merges executor partials in rank order and
+// converts to bits once.
 func (e *Executor) summary(req Request) Response {
-	ws := &WireSummary{Marginals: make([]float64, e.n), MAPMass: math.Inf(-1), MAPOK: len(e.data) > 0}
-	var ent, exp, mass prob.Accumulator
-	walk := func(offset uint64, data []float64) {
-		for j := range data {
-			w := data[j]
-			s := offset + uint64(j)
-			mass.Add(w)
-			if w > ws.MAPMass {
-				ws.MAPState, ws.MAPMass = s, w
-			}
-			if w == 0 { //lint:allow floats exact-zero sparsity skip; near-zero mass must still count
-				continue
-			}
-			if w > 0 {
-				ent.Add(-w * math.Log(w))
-			}
-			exp.Add(w * float64(bits.OnesCount64(s)))
-			for v := s; v != 0; v &= v - 1 {
-				ws.Marginals[bits.TrailingZeros64(v)] += w
-			}
-		}
+	pt := kernel.Summarize(e.lo, e.data, make([]float64, e.n))
+	ws := &WireSummary{
+		Marginals: pt.Marginals,
+		Entropy:   pt.Entropy.Value(),
+		Expected:  pt.Expected.Value(),
+		Mass:      pt.Mass.Value(),
+		MAPState:  pt.MAPState,
+		MAPMass:   pt.MAPMass,
+		MAPOK:     pt.MAPOK,
 	}
-	lo := e.lo
-	hi := e.lo + uint64(len(e.data))
-	head := (lo + radixBlock - 1) &^ uint64(radixBlock-1)
-	tail := hi &^ uint64(radixBlock-1)
-	if head >= tail {
-		walk(lo, e.data)
-	} else {
-		walk(lo, e.data[:head-lo])
-		for b := head; b < tail; b += radixBlock {
-			blk := e.data[b-lo : b-lo+radixBlock]
-			highCount := float64(bits.OnesCount64(b >> radixBits))
-			var blockSum float64
-			for j := range blk {
-				w := blk[j]
-				mass.Add(w)
-				if w > ws.MAPMass {
-					ws.MAPState, ws.MAPMass = b+uint64(j), w
-				}
-				if w == 0 { //lint:allow floats exact-zero sparsity skip; near-zero mass must still count
-					continue
-				}
-				blockSum += w
-				if w > 0 {
-					ent.Add(-w * math.Log(w))
-				}
-				exp.Add(w * (highCount + float64(bits.OnesCount64(uint64(j)))))
-				for v := uint64(j); v != 0; v &= v - 1 {
-					ws.Marginals[bits.TrailingZeros64(v)] += w
-				}
-			}
-			if blockSum == 0 { //lint:allow floats exact-zero sparsity skip; near-zero mass must still count
-				continue
-			}
-			for v := b >> radixBits; v != 0; v &= v - 1 {
-				ws.Marginals[radixBits+bits.TrailingZeros64(v)] += blockSum
-			}
-		}
-		walk(tail, e.data[tail-lo:])
-	}
-	ws.Entropy = ent.Value()
-	ws.Expected = exp.Value()
-	ws.Mass = mass.Value()
 	if !ws.MAPOK {
 		ws.MAPMass = 0 // keep the wire form finite; MAPOK marks the argmax absent
 	}
@@ -613,14 +407,7 @@ func (e *Executor) summary(req Request) Response {
 }
 
 func (e *Executor) mass(req Request) Response {
-	sum := e.reduceChunks(func(lo, hi int) prob.Accumulator {
-		var acc prob.Accumulator
-		for _, w := range e.data[lo:hi] {
-			acc.Add(w)
-		}
-		return acc
-	})
-	return Response{Op: req.Op, Sum: sum}
+	return Response{Op: req.Op, Sum: e.reduceChunks(shardMass)}
 }
 
 // ListenAndServe runs an executor on addr until shutdown. It is the body

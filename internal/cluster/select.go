@@ -1,7 +1,7 @@
 package cluster
 
 import (
-	"repro/internal/prob"
+	"repro/internal/kernel"
 )
 
 // PrefixNegMasses returns the clean masses of every nested prefix of the
@@ -23,11 +23,5 @@ func (m *Model) PrefixNegMasses(order []int) ([]float64, error) {
 	if err != nil {
 		return nil, err
 	}
-	neg := make([]float64, k)
-	var acc prob.Accumulator
-	for i := k - 1; i >= 0; i-- {
-		acc.Add(hist[i+1])
-		neg[i] = acc.Value()
-	}
-	return neg, nil
+	return kernel.SuffixSums(hist), nil
 }

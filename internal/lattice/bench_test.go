@@ -7,6 +7,8 @@ import (
 	"repro/internal/bitvec"
 	"repro/internal/dilution"
 	"repro/internal/engine"
+	"repro/internal/kernel"
+	"repro/internal/prob"
 )
 
 // flatResp has likelihood ½ everywhere, keeping the posterior a fixed
@@ -121,11 +123,11 @@ func BenchmarkConditionInPlace(b *testing.B) {
 	}
 }
 
-// BenchmarkNegMassCrossover sweeps pool size × N for both NegMass paths.
-// This sweep backs the SubLatticeMinPool default: the sub-lattice walk
-// visits 2^(N−g) states but strided, the dense sweep visits 2^N
-// contiguously, so the crossover sits where the 2^g state reduction
-// overtakes the bandwidth advantage.
+// BenchmarkNegMassCrossover sweeps pool size × N for the dense filtered
+// scan (kernel.SumWhere per partition) and the sub-lattice walk NegMass
+// takes. The walk visits 2^(N−g) states but strided, the dense sweep
+// visits 2^N contiguously; on the reference hardware the walk wins from
+// g = 1, which is why NegMass has no dense fallback.
 func BenchmarkNegMassCrossover(b *testing.B) {
 	for _, n := range []int{14, 18, 20} {
 		m := benchLattice(b, n, flatResp)
@@ -137,15 +139,13 @@ func BenchmarkNegMassCrossover(b *testing.B) {
 				pm = pm.With(i * n / g)
 			}
 			b.Run(fmt.Sprintf("N=%d/pool=%d/dense", n, g), func(b *testing.B) {
-				prev := SetSubLatticeMinPool(n + 1)
-				defer SetSubLatticeMinPool(prev)
 				for i := 0; i < b.N; i++ {
-					m.NegMass(pm)
+					m.Posterior().ReduceSum(func(_ int, offset uint64, data []float64) prob.Accumulator {
+						return kernel.SumWhere(offset, data, uint64(pm))
+					})
 				}
 			})
 			b.Run(fmt.Sprintf("N=%d/pool=%d/sublattice", n, g), func(b *testing.B) {
-				prev := SetSubLatticeMinPool(1)
-				defer SetSubLatticeMinPool(prev)
 				for i := 0; i < b.N; i++ {
 					m.NegMass(pm)
 				}
@@ -154,8 +154,8 @@ func BenchmarkNegMassCrossover(b *testing.B) {
 	}
 }
 
-// BenchmarkNegMassesTiling sweeps candidate-count × N for the tiled and
-// untiled candidate scans.
+// BenchmarkNegMassesTiling sweeps candidate-count × N for the untiled
+// reference scan (untiledNegMasses per partition) and the tiled NegMasses.
 func BenchmarkNegMassesTiling(b *testing.B) {
 	for _, n := range []int{14, 18, 20} {
 		m := benchLattice(b, n, flatResp)
@@ -168,7 +168,9 @@ func BenchmarkNegMassesTiling(b *testing.B) {
 			}
 			b.Run(fmt.Sprintf("N=%d/cands=%d/untiled", n, k), func(b *testing.B) {
 				for i := 0; i < b.N; i++ {
-					m.NegMassesUntiled(cands)
+					m.Posterior().ReduceVec(k, func(_ int, offset uint64, data []float64, out []float64) {
+						untiledNegMasses(offset, data, cands, out)
+					})
 				}
 			})
 			b.Run(fmt.Sprintf("N=%d/cands=%d/tiled", n, k), func(b *testing.B) {

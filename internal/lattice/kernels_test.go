@@ -6,6 +6,8 @@ import (
 
 	"repro/internal/bitvec"
 	"repro/internal/dilution"
+	"repro/internal/kernel"
+	"repro/internal/prob"
 	"repro/internal/rng"
 )
 
@@ -51,8 +53,9 @@ func randomPosterior(t *testing.T, r *rng.Source, n int, zeros bool) *Model {
 }
 
 // TestNegMassSubLatticeBitForBit: the masked sub-lattice walk must equal
-// the dense filtered scan exactly — both enumerate the clean states in
-// increasing index order through the same per-partition accumulators.
+// the dense filtered scan (kernel.SumWhere per partition) exactly — both
+// enumerate the clean states in increasing index order through the same
+// per-partition accumulators.
 func TestNegMassSubLatticeBitForBit(t *testing.T) {
 	r := rng.New(101)
 	for trial := 0; trial < 30; trial++ {
@@ -63,34 +66,15 @@ func TestNegMassSubLatticeBitForBit(t *testing.T) {
 			if pm == 0 {
 				continue
 			}
-			prev := SetSubLatticeMinPool(1) // force the sub-lattice walk
 			got := m.NegMass(pm)
-			SetSubLatticeMinPool(prev)
-			want := m.negMassDense(uint64(pm))
+			want := m.Posterior().ReduceSum(func(_ int, offset uint64, data []float64) prob.Accumulator {
+				return kernel.SumWhere(offset, data, uint64(pm))
+			})
 			if got != want {
 				t.Fatalf("trial %d pool %v: sub-lattice %v vs dense %v", trial, pm, got, want)
 			}
 		}
 	}
-}
-
-// TestSubLatticeCrossoverTunable pins the setter contract the A5 ablation
-// and the bench sweep rely on.
-func TestSubLatticeCrossoverTunable(t *testing.T) {
-	def := SubLatticeMinPool()
-	if def < 1 {
-		t.Fatalf("default crossover %d < 1", def)
-	}
-	if prev := SetSubLatticeMinPool(9); prev != def {
-		t.Fatalf("setter returned %d, want previous %d", prev, def)
-	}
-	if got := SubLatticeMinPool(); got != 9 {
-		t.Fatalf("crossover %d after set, want 9", got)
-	}
-	if SetSubLatticeMinPool(0); SubLatticeMinPool() != 1 {
-		t.Fatalf("crossover %d after clamping set, want 1", SubLatticeMinPool())
-	}
-	SetSubLatticeMinPool(def)
 }
 
 // TestSummaryBitForBit: every Summary field must equal its standalone
@@ -135,12 +119,29 @@ func TestMarginalsRadixMatchesWalk(t *testing.T) {
 		n := 6 + r.Intn(6) // up to 4096 states; n > 8 crosses block alignment
 		m := randomPosterior(t, r, n, true)
 		radix := m.Marginals()
-		walk := m.MarginalsWalk()
+		walk := m.Posterior().ReduceVec(n, func(_ int, offset uint64, data []float64, out []float64) {
+			kernel.MarginalsWalk(offset, data, out)
+		})
 		for i := range walk {
 			if math.Abs(radix[i]-walk[i]) > 1e-12 {
 				t.Fatalf("trial %d: radix marginal[%d] %v vs walk %v", trial, i, radix[i], walk[i])
 			}
 		}
+	}
+}
+
+// untiledNegMasses is the pre-tiling candidate scan: the candidate loop is
+// outermost and re-reads the whole partition with one plain sum per
+// candidate.
+func untiledNegMasses(offset uint64, data []float64, cands []bitvec.Mask, out []float64) {
+	for c, pm := range cands {
+		var acc float64
+		for j := range data {
+			if (offset+uint64(j))&uint64(pm) == 0 {
+				acc += data[j]
+			}
+		}
+		out[c] = acc
 	}
 }
 
@@ -162,7 +163,9 @@ func TestNegMassesTiledMatchesUntiled(t *testing.T) {
 			cands = append(cands, pm)
 		}
 		tiled := m.NegMasses(cands)
-		flat := m.NegMassesUntiled(cands)
+		flat := m.Posterior().ReduceVec(len(cands), func(_ int, offset uint64, data []float64, out []float64) {
+			untiledNegMasses(offset, data, cands, out)
+		})
 		for c := range cands {
 			if math.Abs(tiled[c]-flat[c]) > 1e-12 {
 				t.Fatalf("n=%d cand %d: tiled %v vs untiled %v", n, c, tiled[c], flat[c])

@@ -8,7 +8,10 @@
 //
 // The global index of a state in the vector is the state mask itself, so
 // kernels recover the state from the partition offset with no lookup
-// tables. All three SBGT computational kernels live here or directly on top:
+// tables. The per-shard loops live in internal/kernel, shared with the
+// cluster executors; this package runs them once per partition and merges
+// the partials in partition order. The three SBGT computational kernels
+// live here or directly on top:
 //
 //   - Update: multiply every state's mass by the dilution-aware likelihood
 //     of an observed pooled-test outcome and renormalize (fused single pass
@@ -22,11 +25,11 @@ package lattice
 import (
 	"fmt"
 	"math"
-	"math/bits"
 
 	"repro/internal/bitvec"
 	"repro/internal/dilution"
 	"repro/internal/engine"
+	"repro/internal/kernel"
 	"repro/internal/prob"
 )
 
@@ -78,16 +81,10 @@ func New(pool *engine.Pool, cfg Config) (*Model, error) {
 	if cfg.Response == nil {
 		return nil, fmt.Errorf("lattice: nil response model")
 	}
-	odds := make([]float64, n)
-	logBase := 0.0
-	for i, p := range cfg.Risks {
-		if !(p > 0 && p < 1) {
-			return nil, fmt.Errorf("lattice: risk[%d] = %v outside (0,1)", i, p)
-		}
-		odds[i] = p / (1 - p)
-		logBase += math.Log1p(-p)
+	odds, base, err := kernel.PriorOdds(cfg.Risks)
+	if err != nil {
+		return nil, fmt.Errorf("lattice: %w", err)
 	}
-	base := math.Exp(logBase)
 	m := &Model{
 		n:     n,
 		risks: append([]float64(nil), cfg.Risks...),
@@ -95,14 +92,7 @@ func New(pool *engine.Pool, cfg Config) (*Model, error) {
 		post:  engine.NewVector(pool, uint64(1)<<uint(n), cfg.Parts),
 	}
 	m.post.ForPartitions(func(_ int, offset uint64, data []float64) {
-		for j := range data {
-			s := offset + uint64(j)
-			w := base
-			for v := s; v != 0; v &= v - 1 {
-				w *= odds[bits.TrailingZeros64(v)]
-			}
-			data[j] = w
-		}
+		kernel.Prior(offset, data, odds, base)
 	})
 	// The product measure sums to 1 analytically; normalize anyway to wash
 	// out rounding so downstream invariant checks can be strict.
@@ -160,16 +150,8 @@ func (m *Model) Update(pool bitvec.Mask, y dilution.Outcome) error {
 		}
 		lik[k] = l
 	}
-	pm := uint64(pool)
 	total := m.post.ReduceSum(func(_ int, offset uint64, data []float64) prob.Accumulator {
-		var acc prob.Accumulator
-		for j := range data {
-			s := offset + uint64(j)
-			w := data[j] * lik[bits.OnesCount64(s&pm)]
-			data[j] = w
-			acc.Add(w)
-		}
-		return acc
+		return kernel.UpdateMul(offset, data, uint64(pool), lik)
 	})
 	if !(total > 0) || math.IsInf(total, 0) {
 		return fmt.Errorf("lattice: outcome %v on pool %v has zero total likelihood (total %v)", y, pool, total)
@@ -177,29 +159,6 @@ func (m *Model) Update(pool bitvec.Mask, y dilution.Outcome) error {
 	m.post.Scale(1 / total)
 	m.tests++
 	return nil
-}
-
-// UpdateTwoPass is the unfused variant of Update (separate reweight and
-// normalize passes over the lattice). It exists for the A2 fusion ablation;
-// results are identical to Update up to one rounding. It panics on the
-// error cases Update reports, since it is bench-only.
-func (m *Model) UpdateTwoPass(pool bitvec.Mask, y dilution.Outcome) {
-	size := pool.Count()
-	lik := make([]float64, size+1)
-	for k := 0; k <= size; k++ {
-		lik[k] = m.resp.Likelihood(y, k, size)
-	}
-	pm := uint64(pool)
-	m.post.ForPartitions(func(_ int, offset uint64, data []float64) {
-		for j := range data {
-			s := offset + uint64(j)
-			data[j] *= lik[bits.OnesCount64(s&pm)]
-		}
-	})
-	if total := m.post.Normalize(); !(total > 0) {
-		panic(fmt.Sprintf("lattice: zero-likelihood outcome in UpdateTwoPass (total %v)", total))
-	}
-	m.tests++
 }
 
 // Restore rebuilds a model from a previously captured posterior (state

@@ -193,24 +193,6 @@ func TestUpdateZeroLikelihoodRejectedAndStateRecoverable(t *testing.T) {
 	}
 }
 
-func TestUpdateTwoPassMatchesFused(t *testing.T) {
-	pool := newTestPool(t)
-	resp := dilution.Hyperbolic{MaxSens: 0.95, Spec: 0.98, D: 0.3}
-	a := mustNew(t, pool, Config{Risks: uniformRisks(8, 0.15), Response: resp})
-	b := a.Clone()
-	pm := bitvec.FromIndices(0, 2, 4, 6)
-	if err := a.Update(pm, dilution.Positive); err != nil {
-		t.Fatal(err)
-	}
-	b.UpdateTwoPass(pm, dilution.Positive)
-	for s := uint64(0); s < a.States(); s++ {
-		x, y := a.StateMass(bitvec.Mask(s)), b.StateMass(bitvec.Mask(s))
-		if math.Abs(x-y) > 1e-14*math.Max(1, x) {
-			t.Fatalf("state %d: fused %v vs two-pass %v", s, x, y)
-		}
-	}
-}
-
 func TestSequentialUpdatesConsistent(t *testing.T) {
 	// Order of conditionally independent test outcomes must not matter.
 	pool := newTestPool(t)

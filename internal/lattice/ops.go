@@ -1,122 +1,22 @@
 package lattice
 
 import (
-	"fmt"
 	"math"
 	"math/bits"
 
 	"repro/internal/bitvec"
 	"repro/internal/dilution"
 	"repro/internal/engine"
+	"repro/internal/kernel"
 	"repro/internal/prob"
 )
-
-// subLatticeMinPool is the dense/sub-lattice crossover: clean-mass
-// queries enumerate the 2^(N−g) clean sub-lattice only when the pool has
-// at least this many subjects; below it they take the full sequential
-// sweep. The default of 1 (always sub-lattice) comes from the committed
-// pool-size × N microbenchmark sweep in bench_test.go
-// (BenchmarkNegMassCrossover): on the reference hardware the masked walk
-// wins even at g=1 (~1.3×), because halving the visited states beats the
-// dense scan's branch-per-state even before the exponential reduction
-// kicks in. The tunable is kept for hardware where wide vector sweeps
-// beat strided walks — and as the A5 ablation's dense arm.
-var subLatticeMinPool = 1
-
-// SubLatticeMinPool returns the current dense/sub-lattice crossover.
-func SubLatticeMinPool() int { return subLatticeMinPool }
-
-// SetSubLatticeMinPool tunes the dense/sub-lattice crossover and returns
-// the previous value. Pools with at least k subjects take the sub-lattice
-// walk; a large k forces the dense scan everywhere (the ablation arm).
-// k < 1 is clamped to 1.
-func SetSubLatticeMinPool(k int) int {
-	if k < 1 {
-		k = 1
-	}
-	prev := subLatticeMinPool
-	subLatticeMinPool = k
-	return prev
-}
-
-// radixBits is the split point of the radix-decomposed marginal walk:
-// within one aligned block of 2^radixBits states every state shares its
-// high bits, so the block's total mass is added to each shared high bit
-// once per block instead of once per state. Per-state bit-walk work drops
-// from popcount(s) to popcount(s mod 2^radixBits) ≤ radixBits.
-const radixBits = 8
-
-// radixBlock is the aligned block length of the radix marginal walk.
-const radixBlock = 1 << radixBits
-
-// addMarginalsWalk accumulates each state's mass onto its set bits with
-// the per-state bit walk — the reference marginal kernel, retained as the
-// ragged-edge helper of the radix path and the ablation arm.
-func addMarginalsWalk(offset uint64, data []float64, out []float64) {
-	for j := range data {
-		w := data[j]
-		if w == 0 { //lint:allow floats exact-zero sparsity skip; near-zero mass must still count
-			continue
-		}
-		for v := offset + uint64(j); v != 0; v &= v - 1 {
-			out[bits.TrailingZeros64(v)] += w
-		}
-	}
-}
-
-// addMarginalsRadix is the radix-decomposed marginal kernel: aligned
-// 2^radixBits blocks walk only each state's low bits per state and add
-// the block total to the shared high bits once per block. Ragged edges
-// (partition boundaries are not block-aligned) fall back to the full
-// walk. The accumulation order is fixed, so results are deterministic.
-func addMarginalsRadix(offset uint64, data []float64, out []float64) {
-	lo := offset
-	hi := offset + uint64(len(data))
-	head := (lo + radixBlock - 1) &^ uint64(radixBlock-1)
-	tail := hi &^ uint64(radixBlock-1)
-	if head >= tail {
-		addMarginalsWalk(offset, data, out)
-		return
-	}
-	addMarginalsWalk(lo, data[:head-lo], out)
-	for b := head; b < tail; b += radixBlock {
-		blk := data[b-lo : b-lo+radixBlock]
-		var blockSum float64
-		for j := range blk {
-			w := blk[j]
-			if w == 0 { //lint:allow floats exact-zero sparsity skip; near-zero mass must still count
-				continue
-			}
-			blockSum += w
-			for v := uint64(j); v != 0; v &= v - 1 {
-				out[bits.TrailingZeros64(v)] += w
-			}
-		}
-		if blockSum == 0 { //lint:allow floats exact-zero sparsity skip; near-zero mass must still count
-			continue
-		}
-		for v := b >> radixBits; v != 0; v &= v - 1 {
-			out[radixBits+bits.TrailingZeros64(v)] += blockSum
-		}
-	}
-	addMarginalsWalk(tail, data[tail-lo:], out)
-}
 
 // Marginals returns each subject's posterior infection probability,
 // P(i infected | data) = Σ_{S ∋ i} π(S), computed for all N subjects in a
 // single parallel ReduceVec pass with the radix-decomposed bit walk.
 func (m *Model) Marginals() []float64 {
 	return m.post.ReduceVec(m.n, func(_ int, offset uint64, data []float64, out []float64) {
-		addMarginalsRadix(offset, data, out)
-	})
-}
-
-// MarginalsWalk is the pre-radix marginal kernel (full per-state bit
-// walk). It exists for the A5 structure-aware kernel ablation; results
-// agree with Marginals up to accumulation-order rounding.
-func (m *Model) MarginalsWalk() []float64 {
-	return m.post.ReduceVec(m.n, func(_ int, offset uint64, data []float64, out []float64) {
-		addMarginalsWalk(offset, data, out)
+		kernel.Marginals(offset, data, out)
 	})
 }
 
@@ -125,66 +25,17 @@ func (m *Model) MarginalsWalk() []float64 {
 // the quantity the Bayesian Halving Algorithm drives to ½.
 //
 // The clean states form the 2^(N−g) sub-lattice of subsets of ^pool, so
-// for pools at or above the SubLatticeMinPool crossover the kernel
-// enumerates only that sub-lattice via engine.Vector.ReduceSubset;
-// smaller pools keep the full sequential sweep, which wins on bandwidth
-// when the state reduction is small.
+// the kernel enumerates only that sub-lattice via
+// engine.Vector.ReduceSubset. The walk matches the dense sweep
+// (kernel.SumWhere) bit for bit and is faster from g = 1 on; see
+// BenchmarkNegMassCrossover.
 func (m *Model) NegMass(pool bitvec.Mask) float64 {
-	pm := uint64(pool)
-	if pool.Count() >= subLatticeMinPool {
-		return m.post.ReduceSubset(0, uint64(bitvec.Full(m.n))&^pm)
-	}
-	return m.negMassDense(pm)
-}
-
-// negMassDense is the full-sweep NegMass kernel: the small-pool fallback
-// and the bit-for-bit reference for the sub-lattice walk (both visit the
-// clean states in increasing index order with the same accumulator).
-func (m *Model) negMassDense(pm uint64) float64 {
-	return m.post.ReduceSum(func(_ int, offset uint64, data []float64) prob.Accumulator {
-		var acc prob.Accumulator
-		for j := range data {
-			if (offset+uint64(j))&pm == 0 {
-				acc.Add(data[j])
-			}
-		}
-		return acc
-	})
-}
-
-// negMassesTile is the candidate-scan tile length in states: 4096
-// float64s = 32 KiB, sized so one tile stays L1-resident while every
-// candidate re-reads it.
-const negMassesTile = 1 << 12
-
-// negMassesTiled scores every candidate over one partition in L1-sized
-// tiles: the tile loop is outermost and the candidate loop re-reads the
-// resident tile, so the partition's memory traffic is paid once per tile
-// rather than once per candidate. Per-candidate tile partials accumulate
-// into out in fixed tile order, keeping the result deterministic.
-func negMassesTiled(offset uint64, data []float64, masks []uint64, out []float64) {
-	for t0 := 0; t0 < len(data); t0 += negMassesTile {
-		t1 := t0 + negMassesTile
-		if t1 > len(data) {
-			t1 = len(data)
-		}
-		tile := data[t0:t1]
-		toff := offset + uint64(t0)
-		for c, pm := range masks {
-			var acc float64
-			for j := range tile {
-				if (toff+uint64(j))&pm == 0 {
-					acc += tile[j]
-				}
-			}
-			out[c] += acc
-		}
-	}
+	return m.post.ReduceSubset(0, uint64(bitvec.Full(m.n))&^uint64(pool))
 }
 
 // NegMasses evaluates NegMass for every candidate pool in one parallel
 // sweep over the partitions — the SBGT test-selection scan. Within a
-// partition the scan is tiled (see negMassesTiled): a 32 KiB tile stays
+// partition the scan is tiled (see kernel.NegMasses): a 32 KiB tile stays
 // L1-resident across all candidates, so a partition larger than L2 is no
 // longer streamed from memory once per candidate — the batching win over
 // the baseline's C full-vector passes, made cache-oblivious to the
@@ -198,32 +49,7 @@ func (m *Model) NegMasses(cands []bitvec.Mask) []float64 {
 		masks[i] = uint64(c)
 	}
 	return m.post.ReduceVec(len(cands), func(_ int, offset uint64, data []float64, out []float64) {
-		negMassesTiled(offset, data, masks, out)
-	})
-}
-
-// NegMassesUntiled is the pre-tiling candidate scan (candidate-outer loop
-// re-reading the whole partition per candidate). It exists for the A5
-// structure-aware kernel ablation; results agree with NegMasses up to
-// accumulation-order rounding.
-func (m *Model) NegMassesUntiled(cands []bitvec.Mask) []float64 {
-	if len(cands) == 0 {
-		return nil
-	}
-	masks := make([]uint64, len(cands))
-	for i, c := range cands {
-		masks[i] = uint64(c)
-	}
-	return m.post.ReduceVec(len(cands), func(_ int, offset uint64, data []float64, out []float64) {
-		for c, pm := range masks {
-			var acc float64
-			for j := range data {
-				if (offset+uint64(j))&pm == 0 {
-					acc += data[j]
-				}
-			}
-			out[c] = acc
-		}
+		kernel.NegMasses(offset, data, masks, out)
 	})
 }
 
@@ -238,62 +64,16 @@ func (m *Model) NegMassesUntiled(cands []bitvec.Mask) []float64 {
 // algorithmic core of SBGT's fast test selection. Subjects may appear in
 // order at most once; duplicates panic.
 func (m *Model) PrefixNegMasses(order []int) []float64 {
-	k := len(order)
-	if k == 0 {
+	if len(order) == 0 {
 		return nil
 	}
-	var rank [64]uint8
-	for i := range rank {
-		rank[i] = uint8(k)
+	rank, err := kernel.NewRanks(order, m.n)
+	if err != nil {
+		panic("lattice: " + err.Error())
 	}
-	for r, subj := range order {
-		if subj < 0 || subj >= m.n {
-			panic(fmt.Sprintf("lattice: order subject %d outside cohort of %d", subj, m.n))
-		}
-		if rank[subj] != uint8(k) {
-			panic(fmt.Sprintf("lattice: duplicate subject %d in order", subj))
-		}
-		rank[subj] = uint8(r)
-	}
-	hist := m.post.ReduceVec(k+1, func(_ int, offset uint64, data []float64, out []float64) {
-		// Same tiling as the candidate scan: the min-rank pass is a single
-		// sweep, but tiling keeps its access pattern identical to
-		// negMassesTiled so the two selection kernels stay cache-coherent
-		// when the halving selector interleaves them on one partition.
-		for t0 := 0; t0 < len(data); t0 += negMassesTile {
-			t1 := t0 + negMassesTile
-			if t1 > len(data) {
-				t1 = len(data)
-			}
-			tile := data[t0:t1]
-			toff := offset + uint64(t0)
-			for j := range tile {
-				w := tile[j]
-				if w == 0 { //lint:allow floats exact-zero sparsity skip; near-zero mass must still count
-					continue
-				}
-				rmin := uint8(k)
-				for v := toff + uint64(j); v != 0; v &= v - 1 {
-					if r := rank[bits.TrailingZeros64(v)]; r < rmin {
-						rmin = r
-						if rmin == 0 {
-							break // rank 0 is the floor; the rest of the walk cannot lower it
-						}
-					}
-				}
-				out[rmin] += w
-			}
-		}
-	})
-	// neg[i] = Σ_{r > i} hist[r]: mass whose first-ranked infected subject
-	// lies beyond the prefix.
-	neg := make([]float64, k)
-	var acc prob.Accumulator
-	for i := k - 1; i >= 0; i-- {
-		acc.Add(hist[i+1])
-		neg[i] = acc.Value()
-	}
-	return neg
+	return kernel.SuffixSums(m.post.ReduceVec(len(order)+1, func(_ int, offset uint64, data []float64, out []float64) {
+		kernel.PrefixHist(offset, data, rank, out)
+	}))
 }
 
 // IntersectDist returns the posterior distribution of k = |S ∩ pool|, the
@@ -308,14 +88,8 @@ func (m *Model) PrefixNegMasses(order []int) []float64 {
 // likelihood table inline (see Predictive), so this materialized form is
 // for callers that need the full distribution.
 func (m *Model) IntersectDist(pool bitvec.Mask) []float64 {
-	pm := uint64(pool)
-	size := pool.Count()
-	return m.post.ReduceVec(size+1, func(_ int, offset uint64, data []float64, out []float64) {
-		for j := range data {
-			if w := data[j]; w != 0 { //lint:allow floats exact-zero sparsity skip; near-zero mass must still count
-				out[bits.OnesCount64((offset+uint64(j))&pm)] += w
-			}
-		}
+	return m.post.ReduceVec(pool.Count()+1, func(_ int, offset uint64, data []float64, out []float64) {
+		kernel.IntersectDist(offset, data, uint64(pool), out)
 	})
 }
 
@@ -337,7 +111,7 @@ func (m *Model) Predictive(pool bitvec.Mask, y dilution.Outcome) float64 {
 		lik[k] = m.resp.Likelihood(y, k, size)
 	}
 	pm := uint64(pool)
-	if size >= subLatticeMinPool {
+	if size >= 1 { // lik[1] exists only for a non-empty pool
 		flat := true
 		for k := 2; k <= size; k++ {
 			if lik[k] != lik[1] { //lint:allow floats detects an exactly count-independent likelihood table, not a numeric tolerance test
@@ -346,7 +120,7 @@ func (m *Model) Predictive(pool bitvec.Mask, y dilution.Outcome) float64 {
 			}
 		}
 		if flat {
-			nm := m.post.ReduceSubset(0, uint64(bitvec.Full(m.n))&^pm)
+			nm := m.NegMass(pool)
 			return lik[0]*nm + lik[1]*(1-nm)
 		}
 	}
@@ -366,13 +140,7 @@ func (m *Model) Predictive(pool bitvec.Mask, y dilution.Outcome) float64 {
 // bit per update.
 func (m *Model) Entropy() float64 {
 	nats := m.post.ReduceSum(func(_ int, _ uint64, data []float64) prob.Accumulator {
-		var acc prob.Accumulator
-		for _, p := range data {
-			if p > 0 {
-				acc.Add(-p * math.Log(p))
-			}
-		}
-		return acc
+		return kernel.Entropy(data)
 	})
 	return nats / math.Ln2
 }

@@ -1,137 +1,15 @@
 package lattice
 
-import (
-	"math"
-	"math/bits"
+import "repro/internal/kernel"
 
-	"repro/internal/bitvec"
-	"repro/internal/prob"
-)
-
-// Summary is the fused one-pass digest of the posterior: everything a
-// session round reads between tests. Computing the five statistics
-// together costs one lattice sweep of memory traffic instead of the four
-// separate passes the individual kernels pay (marginals, entropy, MAP,
-// expected-infected — mass rides along for invariant checks).
-type Summary struct {
-	// Marginals is each subject's posterior infection probability.
-	Marginals []float64
-	// EntropyBits is the Shannon entropy of the posterior in bits.
-	EntropyBits float64
-	// MAPState is the maximum-a-posteriori state (ties to the lowest
-	// state index) and MAPMass its posterior mass.
-	MAPState bitvec.Mask
-	MAPMass  float64
-	// ExpectedInfected is E[|S|], the expected number of infected.
-	ExpectedInfected float64
-	// Mass is the total posterior mass (≈1 between updates).
-	Mass float64
-}
-
-// summaryPartial is one partition's contribution to the fused summary.
-type summaryPartial struct {
-	marg           []float64
-	ent, exp, mass prob.Accumulator
-	bestState      uint64
-	bestMass       float64
-}
-
-// Summary computes the fused posterior digest in a single parallel pass.
-// Per-partition partials merge in ascending partition order (compensated
-// for the additive statistics, lowest-state tie-break for the argmax), so
-// the result is deterministic like every other reduction. The marginal
-// component uses the same radix-decomposed bit walk as Marginals; the
-// scalar statistics fold into the block loop so the posterior is read
-// once.
-func (m *Model) Summary() *Summary {
-	parts := make([]summaryPartial, m.post.Parts())
+// Summary computes the fused posterior digest (kernel.Summary) in a single
+// parallel pass: one kernel.Summarize partial per partition, merged in
+// ascending partition order with kernel.Merge, so the result is
+// deterministic like every other reduction.
+func (m *Model) Summary() *kernel.Summary {
+	parts := make([]kernel.Partial, m.post.Parts())
 	m.post.ForPartitions(func(p int, offset uint64, data []float64) {
-		pt := summaryPartial{marg: make([]float64, m.n), bestMass: math.Inf(-1)}
-		lo := offset
-		hi := offset + uint64(len(data))
-		head := (lo + radixBlock - 1) &^ uint64(radixBlock-1)
-		tail := hi &^ uint64(radixBlock-1)
-		if head >= tail {
-			pt.summarizeWalk(lo, data)
-		} else {
-			pt.summarizeWalk(lo, data[:head-lo])
-			for b := head; b < tail; b += radixBlock {
-				blk := data[b-lo : b-lo+radixBlock]
-				highCount := float64(bits.OnesCount64(b >> radixBits))
-				var blockSum float64
-				for j := range blk {
-					w := blk[j]
-					s := b + uint64(j)
-					pt.mass.Add(w)
-					if w > pt.bestMass {
-						pt.bestState, pt.bestMass = s, w
-					}
-					if w == 0 { //lint:allow floats exact-zero sparsity skip; near-zero mass must still count
-						continue
-					}
-					blockSum += w
-					if w > 0 {
-						pt.ent.Add(-w * math.Log(w))
-					}
-					pt.exp.Add(w * (highCount + float64(bits.OnesCount64(uint64(j)))))
-					for v := uint64(j); v != 0; v &= v - 1 {
-						pt.marg[bits.TrailingZeros64(v)] += w
-					}
-				}
-				if blockSum == 0 { //lint:allow floats exact-zero sparsity skip; near-zero mass must still count
-					continue
-				}
-				for v := b >> radixBits; v != 0; v &= v - 1 {
-					pt.marg[radixBits+bits.TrailingZeros64(v)] += blockSum
-				}
-			}
-			pt.summarizeWalk(tail, data[tail-lo:])
-		}
-		parts[p] = pt
+		parts[p] = kernel.Summarize(offset, data, make([]float64, m.n))
 	})
-
-	out := &Summary{Marginals: make([]float64, m.n), MAPMass: math.Inf(-1)}
-	margAccs := make([]prob.Accumulator, m.n)
-	var ent, exp, mass prob.Accumulator
-	for _, pt := range parts {
-		for j, x := range pt.marg {
-			margAccs[j].Add(x)
-		}
-		ent.Merge(pt.ent)
-		exp.Merge(pt.exp)
-		mass.Merge(pt.mass)
-		if pt.bestMass > out.MAPMass || (pt.bestMass == out.MAPMass && pt.bestState < uint64(out.MAPState)) { //lint:allow floats exact equality is the deterministic argmax tie-break
-			out.MAPState, out.MAPMass = bitvec.Mask(pt.bestState), pt.bestMass
-		}
-	}
-	for j := range margAccs {
-		out.Marginals[j] = margAccs[j].Value()
-	}
-	out.EntropyBits = ent.Value() / math.Ln2
-	out.ExpectedInfected = exp.Value()
-	out.Mass = mass.Value()
-	return out
-}
-
-// summarizeWalk folds a ragged (non-block-aligned) run of states into the
-// partial with the full per-state bit walk.
-func (pt *summaryPartial) summarizeWalk(offset uint64, data []float64) {
-	for j := range data {
-		w := data[j]
-		s := offset + uint64(j)
-		pt.mass.Add(w)
-		if w > pt.bestMass {
-			pt.bestState, pt.bestMass = s, w
-		}
-		if w == 0 { //lint:allow floats exact-zero sparsity skip; near-zero mass must still count
-			continue
-		}
-		if w > 0 {
-			pt.ent.Add(-w * math.Log(w))
-		}
-		pt.exp.Add(w * float64(bits.OnesCount64(s)))
-		for v := s; v != 0; v &= v - 1 {
-			pt.marg[bits.TrailingZeros64(v)] += w
-		}
-	}
+	return kernel.Merge(m.n, parts)
 }

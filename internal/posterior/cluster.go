@@ -73,18 +73,7 @@ func (c *Cluster) Entropy() (float64, error) { return c.m.Entropy() }
 // Summary gathers the fused per-round digest in one distributed round
 // trip instead of four.
 func (c *Cluster) Summary() (*Summary, error) {
-	d, err := c.m.Summary()
-	if err != nil {
-		return nil, err
-	}
-	return &Summary{
-		Marginals:        d.Marginals,
-		EntropyBits:      d.EntropyBits,
-		MAPState:         d.MAPState,
-		MAPMass:          d.MAPMass,
-		ExpectedInfected: d.ExpectedInfected,
-		Mass:             d.Mass,
-	}, nil
+	return c.m.Summary()
 }
 
 // Condition collapses subject onto a known status; see Model.Condition.

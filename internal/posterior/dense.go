@@ -68,15 +68,7 @@ func (d *Dense) Entropy() (float64, error) { return d.m.Entropy(), nil }
 
 // Summary returns the fused one-pass posterior digest.
 func (d *Dense) Summary() (*Summary, error) {
-	s := d.m.Summary()
-	return &Summary{
-		Marginals:        s.Marginals,
-		EntropyBits:      s.EntropyBits,
-		MAPState:         s.MAPState,
-		MAPMass:          s.MAPMass,
-		ExpectedInfected: s.ExpectedInfected,
-		Mass:             s.Mass,
-	}, nil
+	return d.m.Summary(), nil
 }
 
 // Condition collapses subject onto a known status; see Model.Condition.

@@ -20,6 +20,7 @@ import (
 	"repro/internal/bitvec"
 	"repro/internal/dilution"
 	"repro/internal/engine"
+	"repro/internal/kernel"
 	"repro/internal/lattice"
 	"repro/internal/sparse"
 )
@@ -108,20 +109,8 @@ type Model interface {
 // session round reads between tests, computed together so the posterior
 // is swept once. Each field matches the corresponding single-statistic
 // kernel bit-for-bit (same reduction shapes, same deterministic merges).
-type Summary struct {
-	// Marginals is each subject's posterior infection probability.
-	Marginals []float64
-	// EntropyBits is the Shannon entropy of the posterior in bits.
-	EntropyBits float64
-	// MAPState is the maximum-a-posteriori state (ties break to the
-	// lowest state index) and MAPMass its posterior mass.
-	MAPState bitvec.Mask
-	MAPMass  float64
-	// ExpectedInfected is E[|S|], the expected number of infected.
-	ExpectedInfected float64
-	// Mass is the total posterior mass (≈1 between updates).
-	Mass float64
-}
+// Every backend returns the one kernel.Summary type.
+type Summary = kernel.Summary
 
 // Snapshot is a backend-tagged capture of a posterior, the unit
 // checkpoints serialize. Exactly one payload family is populated: Dense

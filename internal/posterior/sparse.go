@@ -67,15 +67,7 @@ func (s *Sparse) Entropy() (float64, error) { return s.m.Entropy(), nil }
 
 // Summary returns the fused one-pass digest over the retained support.
 func (s *Sparse) Summary() (*Summary, error) {
-	d := s.m.Summary()
-	return &Summary{
-		Marginals:        d.Marginals,
-		EntropyBits:      d.EntropyBits,
-		MAPState:         d.MAPState,
-		MAPMass:          d.MAPMass,
-		ExpectedInfected: d.ExpectedInfected,
-		Mass:             d.Mass,
-	}, nil
+	return s.m.Summary(), nil
 }
 
 // Condition collapses subject onto a known status; see Model.Condition.

@@ -25,6 +25,7 @@ import (
 
 	"repro/internal/bitvec"
 	"repro/internal/dilution"
+	"repro/internal/kernel"
 	"repro/internal/prob"
 )
 
@@ -329,13 +330,7 @@ func (m *Model) PrefixNegMasses(order []int) []float64 {
 		}
 		hist[rmin] += m.mass[i]
 	}
-	neg := make([]float64, k)
-	var acc prob.Accumulator
-	for i := k - 1; i >= 0; i-- {
-		acc.Add(hist[i+1])
-		neg[i] = acc.Value()
-	}
-	return neg
+	return kernel.SuffixSums(hist)
 }
 
 // NegMasses scores every candidate pool in one pass over the support.
@@ -369,24 +364,13 @@ func (m *Model) MAP() (bitvec.Mask, float64) {
 	return bitvec.Mask(best), bestMass
 }
 
-// Summary is the fused one-pass digest over the retained support; fields
-// match the corresponding single-statistic kernels exactly.
-type Summary struct {
-	Marginals        []float64
-	EntropyBits      float64
-	MAPState         bitvec.Mask
-	MAPMass          float64
-	ExpectedInfected float64
-	Mass             float64
-}
-
 // Summary computes marginals, entropy, MAP, expected-infected, and total
 // mass together in a single pass over the retained support. Each
 // statistic uses the same accumulation order as its standalone kernel
 // (stored state order, first-strictly-greater argmax), so results are
 // bit-identical to calling the five kernels separately.
-func (m *Model) Summary() *Summary {
-	out := &Summary{Marginals: make([]float64, m.n), MAPMass: math.Inf(-1)}
+func (m *Model) Summary() *kernel.Summary {
+	out := &kernel.Summary{Marginals: make([]float64, m.n), MAPMass: math.Inf(-1)}
 	var ent, exp, mass prob.Accumulator
 	for i, s := range m.states {
 		w := m.mass[i]

@@ -19,8 +19,8 @@ go run ./cmd/sbgt-lint -baseline-check ./...
 echo '== go test =='
 go test ./...
 
-echo '== go test -race (concurrency substrate + backend conformance + obs) =='
-go test -race -short ./internal/engine ./internal/cluster ./internal/bench ./internal/posterior ./internal/core ./internal/obs ./internal/obs/profiler
+echo '== go test -race (concurrency substrate + shared kernels + backend conformance + obs) =='
+go test -race -short ./internal/engine ./internal/kernel ./internal/lattice ./internal/cluster ./internal/bench ./internal/posterior ./internal/core ./internal/obs ./internal/obs/profiler
 
 echo '== fuzz smoke (10s each) =='
 go test ./internal/prob -run FuzzLogSumExp -fuzz FuzzLogSumExp -fuzztime 10s
